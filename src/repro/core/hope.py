@@ -21,29 +21,22 @@ from pyspark.ml.clustering import KMeans
 from pyspark.ml.functions import array_to_vector
 from pyspark.sql import DataFrame
 
-from ..linalg import fill_missing, matmul_small, row_normalize, svd_topk
-from ..linalg.skinny import spgemm
-from .graph import p_edges, q_edges, u_ids, v_ids
+from ..linalg import matmul_small, row_normalize, spgemm, svd_topk
+from .graph import p_edges, q_edges
 
 
 def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
                   n_iter: int = 6, seed: int = 42
                   ) -> tuple[DataFrame, np.ndarray]:
     """Rows of X (unit-L2, skinny DataFrame keyed by u) and the top-β
-    singular values of Q.  Lines 1–4 of Algorithms 1 and 2."""
-    q = q_edges(edges)
-    uid = u_ids(edges)
-    vid = v_ids(edges)
+    singular values of Q.  Lines 1–4 of Algorithms 1 and 2.  Every u and
+    v id has an edge, so X has a row for every u without any zero-fill."""
     # Top-β left singular vectors of Q live on V (Q is |V| x |U|).
-    U_q, sigma = svd_topk(q, vid, uid, beta, n_iter=n_iter, seed=seed)
-    beta_eff = len(sigma)
+    U_q, sigma = svd_topk(q_edges(edges), beta, n_iter=n_iter, seed=seed)
     # Lemma 3.1: eigenvalues of sum_λ (1-α) α^λ (QQ^T)^λ are (1-α)/(1-α σ²).
     lam = (1.0 - alpha) / (1.0 - alpha * np.minimum(sigma, 1.0) ** 2)
-    p = p_edges(edges)
-    x_hat = spgemm(p, U_q)  # P · U_Q, keyed by u
-    x_hat = matmul_small(x_hat, np.diag(lam))
-    x = row_normalize(x_hat)
-    x = fill_missing(uid, x, beta_eff, id_col="u")
+    x_hat = spgemm(p_edges(edges), U_q)  # P · U_Q, keyed by u
+    x = row_normalize(matmul_small(x_hat, np.diag(lam)))
     return x.localCheckpoint(eager=True), sigma
 
 

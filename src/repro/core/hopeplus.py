@@ -22,12 +22,11 @@ labels — all O(|U|·k) dataflow, O(k²) driver state.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
 from ..linalg import gram, matmul_small
-from ..linalg.skinny import colwise_maxabs_value
+from ..linalg.skinny import _partials, colwise_maxabs_value
 from .hope import hop_embedding
 
 
@@ -76,32 +75,17 @@ def _rounding_step(l_df: DataFrame, t: np.ndarray | None, k: int
     with the cluster sizes.
 
     This is the whole per-iteration dataflow of Algorithm 3 as a single
-    narrow mapInPandas job (no shuffle): T is k x k and broadcast, each
-    partition emits its partial S and counts, the driver reduces them.
+    narrow mapInPandas job (no shuffle): T is k x k and shipped with the
+    closure, each batch emits its partial S and counts, the driver
+    reduces them.
     """
-    spark = l_df.sparkSession
-    bc = spark.sparkContext.broadcast(
-        None if t is None else np.asarray(t, dtype=np.float64))
-
-    def partial(batches):
+    def part(L):
+        cl = (L if t is None else L @ t).argmax(axis=1)
         S = np.zeros((k, k))
-        cnt = np.zeros(k)
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                L = np.vstack(pdf["vec"].to_numpy())
-                M = L if bc.value is None else L @ bc.value
-                cl = M.argmax(axis=1)
-                np.add.at(S.T, cl, L)   # S[:, j] += L rows with cluster j
-                cnt += np.bincount(cl, minlength=k)
-                seen = True
-        if seen:
-            yield pd.DataFrame({"s": [np.concatenate([S.ravel(), cnt])]})
+        np.add.at(S.T, cl, L)   # S[:, j] += L rows with cluster j
+        return np.concatenate([S.ravel(), np.bincount(cl, minlength=k)])
 
-    parts = l_df.mapInPandas(partial, "s array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((k, k)), np.zeros(k)
-    tot = np.sum(np.vstack(parts["s"].to_numpy()), axis=0)
+    tot = _partials(l_df, part, k * k + k).sum(axis=0)
     return tot[: k * k].reshape(k, k), tot[k * k:]
 
 
@@ -129,10 +113,9 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
     if urt not in ("fnem", "snem"):
         raise ValueError(f"urt must be 'fnem' or 'snem', got {urt!r}")
     beta = beta or 5 * k
-    x, _ = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
-                         n_iter=svd_iter)
-    beta_eff = len(x.select("vec").head()["vec"])
-    l_df, _ = truncated_svd_of_skinny(x, beta_eff, k)
+    x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
+                             n_iter=svd_iter)
+    l_df, _ = truncated_svd_of_skinny(x, len(sigma), k)
 
     # Stage 2 (Alg. 3).  Each iteration is one narrow Spark pass that
     # both applies the current rotation T (greedy seeding when T = None)

@@ -1,7 +1,5 @@
 """Distributed skinny-matrix linear algebra over Spark DataFrames."""
 from .skinny import (
-    cross_gram,
-    fill_missing,
     gram,
     matmul_small,
     orthonormalize,
@@ -12,8 +10,6 @@ from .skinny import (
 )
 
 __all__ = [
-    "cross_gram",
-    "fill_missing",
     "gram",
     "matmul_small",
     "orthonormalize",

@@ -7,8 +7,8 @@ edge-list DataFrame ``(r bigint, c bigint, v double)``.  These two shapes
 are all the HOPE/HOPE+ pipeline needs:
 
 * ``spgemm``       — sparse x skinny product (join + scale + Summarizer.sum)
-* ``gram``         — M^T M as a small driver-side numpy array (mapInPandas
-                     partial sums, reduced on the driver)
+* ``gram``         — M^T M as a small driver-side numpy array (partial
+                     sums per Arrow batch, reduced on the driver)
 * ``matmul_small`` — skinny x broadcast small dense matrix
 * ``orthonormalize`` — CholeskyQR2 (two rounds of Gram + R^-1 for stability)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
@@ -26,38 +26,39 @@ from pyspark.ml.functions import array_to_vector, vector_to_array
 from pyspark.ml.stat import Summarizer
 from pyspark.sql import DataFrame, SparkSession
 
+#: Extra columns of the SVD range-finder block beyond the requested rank.
+OVERSAMPLE = 8
+
 
 def random_skinny(spark: SparkSession, ids: DataFrame, r: int, *,
-                  seed: int = 42, id_col: str = "id") -> DataFrame:
+                  seed: int = 42) -> DataFrame:
     """Deterministic pseudo-random skinny matrix (uniform in [-1, 1]) with
-    one row per id in ``ids`` — the range-finder start block for the SVD.
+    one row per ``id`` in ``ids`` — the range-finder start block for the SVD.
 
     Entries come from ``xxhash64(id, j, seed)`` so the matrix is fully
     deterministic and computed where the data lives (no driver-side RNG
     materialisation, unlike ``numpy`` + ``createDataFrame``).
     """
     return ids.select(
-        F.col(id_col).alias("id"),
+        "id",
         F.expr(
             f"transform(sequence(0, {r - 1}),"
-            f" j -> cast(xxhash64({id_col}, j, {seed}) as double)"
+            f" j -> cast(xxhash64(id, j, {seed}) as double)"
             " / 9.223372036854776e18)"
         ).alias("vec"),
     )
 
 
-def spgemm(edges: DataFrame, skinny: DataFrame, *, row: str = "r",
-           col: str = "c", val: str = "v") -> DataFrame:
-    """Y = A S: sparse ``edges`` (rows ``row``/``col``/``val``) times a
-    skinny matrix keyed by ``col``.  Returns a skinny matrix keyed by the
-    ``row`` ids that have at least one edge (all-zero rows are dropped —
-    callers re-attach them with :func:`fill_missing` when needed)."""
+def spgemm(edges: DataFrame, skinny: DataFrame) -> DataFrame:
+    """Y = A S: sparse ``edges`` ``(r, c, v)`` times a skinny matrix keyed
+    by ``c``.  Returns a skinny matrix keyed by the ``r`` ids that have at
+    least one edge (all-zero rows are dropped)."""
     scaled = (
-        edges.join(skinny.withColumnRenamed("id", col), on=col)
+        edges.join(skinny.withColumnRenamed("id", "c"), on="c")
         .select(
-            F.col(row).alias("id"),
+            F.col("r").alias("id"),
             array_to_vector(
-                F.transform("vec", lambda x: x * F.col(val))
+                F.transform("vec", lambda x: x * F.col("v"))
             ).alias("sv"),
         )
     )
@@ -68,86 +69,41 @@ def spgemm(edges: DataFrame, skinny: DataFrame, *, row: str = "r",
     )
 
 
-def fill_missing(ids: DataFrame, skinny: DataFrame, r: int,
-                 *, id_col: str = "id") -> DataFrame:
-    """Left-join ``skinny`` onto the full id universe, zero-filling rows
-    that dropped out of a product (isolated vertices)."""
-    zero = F.array_repeat(F.lit(0.0), r)
-    return (
-        ids.select(F.col(id_col).alias("id"))
-        .join(skinny, on="id", how="left")
-        .select("id", F.coalesce("vec", zero).alias("vec"))
-    )
+def _partials(skinny: DataFrame, fn, width: int) -> np.ndarray:
+    """Apply ``fn`` to every non-empty Arrow batch of ``skinny`` (as the
+    stacked rows of ``vec``) on the executors and collect the results:
+    an array with one row of ``width`` values per batch, and zero rows
+    for an empty input.  Callers reduce the rows on the driver.
+
+    ``fn`` is shipped to the executors by value, so it must be a closure
+    that uses only numpy: executors need not be able to import ``repro``.
+    """
+    def run(batches):
+        for pdf in batches:
+            if len(pdf):
+                out = fn(np.vstack(pdf["vec"].to_numpy()))
+                yield pd.DataFrame({"p": [np.ravel(out)]})
+
+    parts = skinny.mapInPandas(run, "p array<double>").toPandas()["p"]
+    return np.vstack(parts.to_numpy()) if len(parts) else np.zeros((0, width))
 
 
 def gram(skinny: DataFrame, r: int) -> np.ndarray:
-    """G = M^T M in R^{r x r}: per-partition partial Grams via mapInPandas,
-    summed on the driver."""
-    def partial(batches):
-        total = np.zeros((r, r))
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                M = np.vstack(pdf["vec"].to_numpy())
-                total += M.T @ M
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [total.ravel()]})
-
-    parts = skinny.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((r, r))
-    return np.sum(np.vstack(parts["g"].to_numpy()), axis=0).reshape(r, r)
-
-
-def cross_gram(a: DataFrame, b: DataFrame, ra: int, rb: int) -> np.ndarray:
-    """G = A^T B in R^{ra x rb} for two skinny matrices on the same ids."""
-    joined = a.join(
-        b.withColumnRenamed("vec", "vec_b"), on="id"
-    ).select("vec", "vec_b")
-
-    def partial(batches):
-        total = np.zeros((ra, rb))
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                A = np.vstack(pdf["vec"].to_numpy())
-                B = np.vstack(pdf["vec_b"].to_numpy())
-                total += A.T @ B
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [total.ravel()]})
-
-    parts = joined.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((ra, rb))
-    return np.sum(np.vstack(parts["g"].to_numpy()), axis=0).reshape(ra, rb)
+    """G = M^T M in R^{r x r}: partial Grams on the executors, summed on
+    the driver."""
+    parts = _partials(skinny, lambda M: M.T @ M, r * r)
+    return parts.sum(axis=0).reshape(r, r)
 
 
 def colwise_maxabs_value(skinny: DataFrame, r: int) -> np.ndarray:
     """Per column, the signed value of the entry with the largest absolute
     value — used to fix the sign indeterminacy of computed eigenvectors
     (flip each column so its dominant entry is positive)."""
-    def partial(batches):
-        best = np.zeros(r)
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                M = np.vstack(pdf["vec"].to_numpy())
-                idx = np.abs(M).argmax(axis=0)
-                cand = M[idx, np.arange(M.shape[1])]
-                take = np.abs(cand) > np.abs(best)
-                best[take] = cand[take]
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [best]})
+    def pick(M):
+        return M[np.abs(M).argmax(axis=0), np.arange(M.shape[1])]
 
-    parts = skinny.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros(r)
-    P = np.vstack(parts["g"].to_numpy())
-    idx = np.abs(P).argmax(axis=0)
-    return P[idx, np.arange(r)]
+    P = _partials(skinny, pick, r)
+    return pick(P) if len(P) else np.zeros(r)
 
 
 def matmul_small(skinny: DataFrame, small: np.ndarray) -> DataFrame:
@@ -201,42 +157,34 @@ def orthonormalize(skinny: DataFrame, r: int, *, rounds: int = 2) -> DataFrame:
     return q
 
 
-def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
-             rank: int, *, row: str = "r", col: str = "c", val: str = "v",
-             n_iter: int = 6, oversample: int = 8, seed: int = 42,
-             ) -> tuple[DataFrame, np.ndarray]:
+def svd_topk(edges: DataFrame, rank: int, *, n_iter: int = 6,
+             seed: int = 42) -> tuple[DataFrame, np.ndarray]:
     """Top-``rank`` left singular vectors and singular values of a sparse
-    matrix A given as an edge list.
+    matrix A given as an edge list ``(r, c, v)``.
 
     Randomized subspace iteration on A A^T: Y <- orth(A (A^T Y)), then
     Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
-    is a skinny DataFrame on ``row_ids`` (zero rows for isolated ids) and
-    ``s`` the singular values (descending).
+    has one row per ``r`` id of the edges and ``s`` holds the singular
+    values (descending); ``rank`` is clamped to the number of ``c`` ids.
     """
-    r = rank + oversample
-    edges = edges.select(row, col, val).localCheckpoint(eager=True)
-    edges_t = edges.select(
-        F.col(col).alias(row), F.col(row).alias(col), F.col(val).alias(val)
-    ).localCheckpoint(eager=True)
-    id_col = row_ids.columns[0]
-    n_cols_r = col_ids.count()
-    r = min(r, n_cols_r)  # cannot exceed the small dimension
+    edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
+    edges_t = edges.toDF("c", "r", "v").localCheckpoint(eager=True)  # A^T
+    n_cols = edges.select("c").distinct().count()
+    r = min(rank + OVERSAMPLE, n_cols)  # cannot exceed the small dimension
     rank = min(rank, r)
 
+    row_ids = edges.select(F.col("r").alias("id")).distinct()
     Y = orthonormalize(
-        random_skinny(edges.sparkSession, row_ids, r, seed=seed, id_col=id_col), r
+        random_skinny(edges.sparkSession, row_ids, r, seed=seed), r
     ).localCheckpoint(eager=True)
     for it in range(n_iter):
-        Z = spgemm(edges_t, Y, row=row, col=col, val=val)
-        Y = spgemm(edges, Z, row=row, col=col, val=val)
+        Y = spgemm(edges, spgemm(edges_t, Y))
         # One CholeskyQR round mid-loop (the next iteration corrects any
         # residual non-orthogonality), two on the last pass for accuracy.
         Y = orthonormalize(Y, r, rounds=2 if it == n_iter - 1 else 1)
-    Z = spgemm(edges_t, Y, row=row, col=col, val=val)
-    M = gram(Z, r)  # = Y^T A A^T Y, PSD
+    M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
     w, W = np.linalg.eigh((M + M.T) / 2)
     order = np.argsort(w)[::-1][:rank]
     s = np.sqrt(np.maximum(w[order], 0.0))
     U = matmul_small(Y, W[:, order])
-    U = fill_missing(row_ids, U, rank, id_col=id_col)
     return U.localCheckpoint(eager=True), s

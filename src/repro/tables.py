@@ -40,13 +40,18 @@ EXCLUDED: dict[str, set[str]] = {
 
 
 def labels_from_assignment(assign_df, n_u: int) -> np.ndarray:
-    """(id, cluster) DataFrame -> dense label array over 0..n_u-1
-    (vertices absent from the edge list fall into cluster 0)."""
+    """(id, cluster) DataFrame -> dense label array over 0..n_u-1.
+
+    U vertices without an edge get no row from HOPE/HOPE+ and fall into
+    cluster 0.  Raises ``ValueError`` for an id outside ``[0, n_u)``.
+    """
     pdf = assign_df.toPandas()
-    lab = np.zeros(n_u, dtype=np.int64)
     ids = pdf["id"].to_numpy()
-    ok = (ids >= 0) & (ids < n_u)
-    lab[ids[ok]] = pdf["cluster"].to_numpy()[ok]
+    bad = ids[(ids < 0) | (ids >= n_u)]
+    if len(bad):
+        raise ValueError(f"{len(bad)} ids outside [0, {n_u}), e.g. {bad[0]}")
+    lab = np.zeros(n_u, dtype=np.int64)
+    lab[ids] = pdf["cluster"].to_numpy()
     return lab
 
 

@@ -6,8 +6,6 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.linalg import (
-    cross_gram,
-    fill_missing,
     gram,
     matmul_small,
     orthonormalize,
@@ -85,17 +83,6 @@ class TestSpgemm:
         out = spgemm(edges, make_skinny(spark, S)).toPandas()
         assert set(out["id"]) == {0, 2}
 
-    def test_fill_missing_restores_rows(self, spark):
-        edges = spark.createDataFrame(
-            pd.DataFrame({"r": [0, 2], "c": [0, 1], "v": [1.0, 2.0]})
-        )
-        ids = spark.range(4).withColumnRenamed("id", "id")
-        out = spgemm(edges, make_skinny(spark, np.ones((2, 2))))
-        full = collect_skinny(fill_missing(ids, out, 2), 4, 2)
-        np.testing.assert_allclose(full[1], 0.0)
-        np.testing.assert_allclose(full[3], 0.0)
-        np.testing.assert_allclose(full[0], [1.0, 1.0])
-
 
 class TestGram:
     def test_gram_matches_dense(self, spark):
@@ -107,13 +94,6 @@ class TestGram:
     def test_gram_empty(self, spark):
         empty = spark.createDataFrame([], "id bigint, vec array<double>")
         np.testing.assert_allclose(gram(empty, 3), np.zeros((3, 3)))
-
-    def test_cross_gram_matches_dense(self, spark):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((30, 4))
-        B = rng.standard_normal((30, 6))
-        got = cross_gram(make_skinny(spark, A), make_skinny(spark, B), 4, 6)
-        np.testing.assert_allclose(got, A.T @ B, atol=1e-10)
 
 
 class TestSmallOps:
@@ -174,11 +154,9 @@ class TestOrthonormalize:
 class TestSvdTopk:
     def test_matches_numpy_svd(self, spark, sparse_case):
         edges, coo = sparse_case
-        row_ids = spark.createDataFrame(
-            pd.DataFrame({"r": np.arange(coo.shape[0])}))
-        col_ids = spark.createDataFrame(
-            pd.DataFrame({"c": np.arange(coo.shape[1])}))
-        U, s = svd_topk(edges, row_ids, col_ids, 4, seed=3)
+        U, s = svd_topk(edges, 4, seed=3)
+        ids = U.toPandas()["id"].to_numpy()
+        np.testing.assert_array_equal(np.sort(ids), np.unique(coo.rows))
         s_exact = np.linalg.svd(coo.to_dense(), compute_uv=False)
         np.testing.assert_allclose(s, s_exact[:4], rtol=1e-5)
         Ud = collect_skinny(U, coo.shape[0], 4)
@@ -190,7 +168,5 @@ class TestSvdTopk:
     def test_rank_clamped(self, spark):
         edges = spark.createDataFrame(
             pd.DataFrame({"r": [0, 1, 2], "c": [0, 1, 0], "v": [1.0, 2.0, 3.0]}))
-        row_ids = spark.range(3).select(F.col("id").alias("r"))
-        col_ids = spark.range(2).select(F.col("id").alias("c"))
-        U, s = svd_topk(edges, row_ids, col_ids, 10, seed=0)
+        U, s = svd_topk(edges, 10, seed=0)
         assert len(s) == 2

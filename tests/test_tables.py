@@ -22,12 +22,13 @@ class TestLabelsFromAssignment:
         lab = labels_from_assignment(df, 4)
         np.testing.assert_array_equal(lab, [1, 0, 2, 0])
 
-    def test_ignores_out_of_range_ids(self, spark):
+    def test_rejects_out_of_range_ids(self, spark):
         import pandas as pd
-        df = spark.createDataFrame(
-            pd.DataFrame({"id": [0, 99], "cluster": [1, 1]}))
-        lab = labels_from_assignment(df, 3)
-        np.testing.assert_array_equal(lab, [1, 0, 0])
+        for bad_id in (99, 3, -1):
+            df = spark.createDataFrame(
+                pd.DataFrame({"id": [0, bad_id], "cluster": [1, 1]}))
+            with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+                labels_from_assignment(df, 3)
 
 
 class TestEvaluateDataset:
