@@ -45,11 +45,10 @@ def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int
     w, V = np.linalg.eigh((G + G.T) / 2)
     order = np.argsort(w)[::-1][:k]
     s = np.sqrt(np.maximum(w[order], 1e-300))
-    L = matmul_small(x, V[:, order] / s[None, :]).localCheckpoint(eager=True)
-    flip = np.sign(colwise_maxabs_value(L, k))
+    B = V[:, order] / s[None, :]
+    flip = np.sign(colwise_maxabs_value(matmul_small(x, B), k))
     flip[flip == 0] = 1.0
-    if (flip < 0).any():
-        L = matmul_small(L, np.diag(flip)).localCheckpoint(eager=True)
+    L = matmul_small(x, B * flip[None, :]).localCheckpoint(eager=True)
     return L, s
 
 

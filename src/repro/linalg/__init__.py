@@ -2,7 +2,6 @@
 from .skinny import (
     gram,
     matmul_small,
-    orthonormalize,
     random_skinny,
     row_normalize,
     spgemm,
@@ -12,7 +11,6 @@ from .skinny import (
 __all__ = [
     "gram",
     "matmul_small",
-    "orthonormalize",
     "random_skinny",
     "row_normalize",
     "spgemm",

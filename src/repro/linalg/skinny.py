@@ -10,7 +10,6 @@ are all the HOPE/HOPE+ pipeline needs:
 * ``gram``         — M^T M as a small driver-side numpy array (partial
                      sums per Arrow batch, reduced on the driver)
 * ``matmul_small`` — skinny x broadcast small dense matrix
-* ``orthonormalize`` — CholeskyQR2 (two rounds of Gram + R^-1 for stability)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
                      sparse matrix, returning distributed singular vectors
 
@@ -143,48 +142,37 @@ def _chol_inv(G: np.ndarray) -> np.ndarray:
     return np.linalg.inv(R)
 
 
-def orthonormalize(skinny: DataFrame, r: int, *, rounds: int = 2) -> DataFrame:
-    """CholeskyQR: Q with Q^T Q = I spanning the same column space.
-
-    ``rounds=2`` (CholeskyQR2) gives full orthogonality for final
-    results; ``rounds=1`` suffices inside subspace-iteration loops where
-    the next iteration re-orthonormalises anyway (half the Spark jobs).
-    """
-    q = skinny
-    for _ in range(rounds):
-        q = matmul_small(q, _chol_inv(gram(q, r)))
-        q = q.localCheckpoint(eager=True)  # truncate lineage in iterations
-    return q
-
-
 def svd_topk(edges: DataFrame, rank: int, *, n_iter: int = 6,
              seed: int = 42) -> tuple[DataFrame, np.ndarray]:
     """Top-``rank`` left singular vectors and singular values of a sparse
     matrix A given as an edge list ``(r, c, v)``.
 
-    Randomized subspace iteration on A A^T: Y <- orth(A (A^T Y)), then
-    Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
-    has one row per ``r`` id of the edges and ``s`` holds the singular
-    values (descending); ``rank`` is clamped to the number of ``c`` ids.
+    Randomized subspace iteration on A A^T (Halko, Martinsson & Tropp
+    2011) with CholeskyQR folded into the next product: each pass forms
+    Y <- A (A^T (Y R^-1)) and then R^-1 from the Gram of the new Y, so the
+    orthonormal basis Y R^-1 is never materialised.  Rayleigh–Ritz uses
+    the Gram of Z = A^T Y R^-1.  Returns ``(U, s)`` where U has one row
+    per ``r`` id of the edges and ``s`` holds the singular values
+    (descending); ``rank`` is clamped to the smaller of the ``r`` and
+    ``c`` id counts.
     """
     edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
     edges_t = edges.toDF("c", "r", "v").localCheckpoint(eager=True)  # A^T
-    n_cols = edges.select("c").distinct().count()
-    r = min(rank + OVERSAMPLE, n_cols)  # cannot exceed the small dimension
+    n_rows, n_cols = edges.agg(F.countDistinct("r"),
+                               F.countDistinct("c")).first()
+    r = min(rank + OVERSAMPLE, n_rows, n_cols)  # cannot exceed either dimension
     rank = min(rank, r)
 
     row_ids = edges.select(F.col("r").alias("id")).distinct()
-    Y = orthonormalize(
-        random_skinny(edges.sparkSession, row_ids, r, seed=seed), r
-    ).localCheckpoint(eager=True)
-    for it in range(n_iter):
-        Y = spgemm(edges, spgemm(edges_t, Y))
-        # One CholeskyQR round mid-loop (the next iteration corrects any
-        # residual non-orthogonality), two on the last pass for accuracy.
-        Y = orthonormalize(Y, r, rounds=2 if it == n_iter - 1 else 1)
-    M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
+    Y = random_skinny(edges.sparkSession, row_ids, r, seed=seed)
+    R_inv = np.eye(r)  # only the span of the start block matters
+    for _ in range(n_iter):
+        Y = spgemm(edges, spgemm(edges_t, matmul_small(Y, R_inv)))
+        Y = Y.localCheckpoint(eager=True)  # truncate lineage in iterations
+        R_inv = _chol_inv(gram(Y, r))
+    M = gram(spgemm(edges_t, matmul_small(Y, R_inv)), r)  # PSD
     w, W = np.linalg.eigh((M + M.T) / 2)
     order = np.argsort(w)[::-1][:rank]
     s = np.sqrt(np.maximum(w[order], 0.0))
-    U = matmul_small(Y, W[:, order])
+    U = matmul_small(Y, R_inv @ W[:, order])
     return U.localCheckpoint(eager=True), s

@@ -57,18 +57,17 @@ def labels_from_assignment(assign_df, n_u: int) -> np.ndarray:
 
 def run_our_method(spark: SparkSession, ds: BipartiteDataset, method: str,
                    *, alpha: float = 0.3, beta: int | None = None,
-                   seed: int = 42, svd_iter: int = 5) -> np.ndarray:
+                   seed: int = 42) -> np.ndarray:
     """Run HOPE / HOPE+ (FNEM) / HOPE+ (SNEM) on Spark, return U labels."""
     edges = ds.to_spark(spark).localCheckpoint(eager=True)
     if method == "HOPE":
-        assign = hope(edges, ds.k, alpha=alpha, beta=beta, seed=seed,
-                      svd_iter=svd_iter)
+        assign = hope(edges, ds.k, alpha=alpha, beta=beta, seed=seed)
     elif method == "HOPE+ (FNEM)":
         assign = hopeplus(edges, ds.k, alpha=alpha, beta=beta, urt="fnem",
-                          seed=seed, svd_iter=svd_iter)
+                          seed=seed)
     elif method == "HOPE+ (SNEM)":
         assign = hopeplus(edges, ds.k, alpha=alpha, beta=beta, urt="snem",
-                          seed=seed, svd_iter=svd_iter)
+                          seed=seed)
     else:
         raise ValueError(method)
     return labels_from_assignment(assign, ds.n_u)

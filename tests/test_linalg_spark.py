@@ -8,7 +8,6 @@ import pytest
 from repro.linalg import (
     gram,
     matmul_small,
-    orthonormalize,
     random_skinny,
     row_normalize,
     spgemm,
@@ -136,21 +135,6 @@ class TestSmallOps:
         assert np.abs(M).max() <= 1.0
 
 
-class TestOrthonormalize:
-    def test_orthonormal_columns(self, spark):
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((30, 5))
-        Q = collect_skinny(orthonormalize(make_skinny(spark, M), 5), 30, 5)
-        np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-8)
-
-    def test_preserves_column_space(self, spark):
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((20, 3))
-        Q = collect_skinny(orthonormalize(make_skinny(spark, M), 3), 20, 3)
-        # Projection of M onto span(Q) equals M.
-        np.testing.assert_allclose(Q @ (Q.T @ M), M, atol=1e-8)
-
-
 class TestSvdTopk:
     def test_matches_numpy_svd(self, spark, sparse_case):
         edges, coo = sparse_case
@@ -164,9 +148,42 @@ class TestSvdTopk:
         Ue = np.linalg.svd(coo.to_dense())[0][:, :4]
         overlap = np.linalg.svd(Ud.T @ Ue, compute_uv=False)
         np.testing.assert_allclose(overlap, 1.0, atol=1e-3)
+        np.testing.assert_allclose(Ud.T @ Ud, np.eye(4), atol=1e-8)
 
     def test_rank_clamped(self, spark):
         edges = spark.createDataFrame(
             pd.DataFrame({"r": [0, 1, 2], "c": [0, 1, 0], "v": [1.0, 2.0, 3.0]}))
         U, s = svd_topk(edges, 10, seed=0)
         assert len(s) == 2
+
+    def test_rank_clamped_to_rows(self, spark):
+        # 3 x 6: the block may not be wider than the row count either.
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 6))
+        r, c = np.nonzero(A)
+        edges = spark.createDataFrame(
+            pd.DataFrame({"r": r, "c": c, "v": A[r, c]}))
+        U, s = svd_topk(edges, 10, seed=0)
+        assert len(s) == 3
+        np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False),
+                                   rtol=1e-8)
+        Ud = collect_skinny(U, 3, 3)
+        np.testing.assert_allclose(Ud.T @ Ud, np.eye(3), atol=1e-8)
+
+    def test_jobs_per_pass(self, spark, sparse_case):
+        # Each extra subspace pass costs a bounded number of Spark jobs:
+        # two spgemm products, one Gram collect and one checkpoint.
+        edges, _ = sparse_case
+        sc = spark.sparkContext
+
+        def jobs(n_iter):
+            group = f"svd_topk_jobs_{n_iter}"
+            sc.setJobGroup(group, group)
+            try:
+                svd_topk(edges, 4, n_iter=n_iter, seed=3)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+                sc.setLocalProperty("spark.job.description", None)
+            return len(sc.statusTracker().getJobIdsForGroup(group))
+
+        assert jobs(3) - jobs(1) <= 16
